@@ -8,7 +8,8 @@ use rand::SeedableRng;
 use std::hint::black_box;
 
 use voxolap_bench::{flights_table, region_season_query};
-use voxolap_engine::cache::{ResampleScratch, SampleCache};
+use voxolap_engine::cache::ResampleScratch;
+use voxolap_engine::sharded::ShardedSampleCache;
 
 fn cache_benches(c: &mut Criterion) {
     let table = flights_table(100_000);
@@ -29,7 +30,7 @@ fn cache_benches(c: &mut Criterion) {
     group.throughput(Throughput::Elements(rows.len() as u64));
     group.bench_function("observe_100k_rows", |b| {
         b.iter(|| {
-            let mut cache = SampleCache::new(query.n_aggregates(), table.row_count() as u64);
+            let cache = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64);
             for &(agg, v) in &rows {
                 cache.observe(agg, v);
             }
@@ -39,22 +40,21 @@ fn cache_benches(c: &mut Criterion) {
     group.finish();
 
     // Resample/estimate on a filled cache.
-    let mut cache = SampleCache::new(query.n_aggregates(), table.row_count() as u64);
-    for &(agg, v) in &rows {
-        cache.observe(agg, v);
-    }
     let mut group = c.benchmark_group("estimate");
     for resample in [10usize, 100] {
-        let cache = cache.clone().with_resample_size(resample);
-        // Per-call allocation (`estimate` builds fresh index/value buffers)
-        // versus the planner's hot path (`estimate_with` reuses a
-        // ResampleScratch across calls).
+        let cache = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64)
+            .with_resample_size(resample);
+        for &(agg, v) in &rows {
+            cache.observe(agg, v);
+        }
+        // Per-call allocation (a fresh scratch per estimate) versus the
+        // planner's hot path (one ResampleScratch reused across calls).
         group.bench_with_input(BenchmarkId::new("resample_alloc", resample), &cache, |b, cache| {
             let mut rng = StdRng::seed_from_u64(3);
             b.iter(|| {
                 let agg =
                     cache.pick_aggregate(voxolap_engine::query::AggFct::Avg, &mut rng).unwrap();
-                black_box(cache.estimate(agg, &mut rng))
+                black_box(cache.estimate_with(agg, &mut rng, &mut ResampleScratch::new()))
             })
         });
         group.bench_with_input(

@@ -128,7 +128,7 @@ pub fn run(table: &Table, seed: u64) -> String {
 /// region x season query, whose smallest cell (US territories in Fall)
 /// holds ~0.2 % of rows.
 fn stratified_coverage(table: &Table, seed: u64) -> String {
-    use voxolap_engine::cache::SampleCache;
+    use voxolap_engine::sharded::ShardedSampleCache;
     use voxolap_engine::stratified::AggregateIndex;
 
     let query = region_season_query(table);
@@ -138,20 +138,21 @@ fn stratified_coverage(table: &Table, seed: u64) -> String {
     let mut rows_md = Vec::new();
     for budget in [20usize, 100, 1_000, 10_000] {
         // Shuffled streaming.
-        let mut shuffled = SampleCache::new(n_aggs, table.row_count() as u64);
+        let shuffled = ShardedSampleCache::new(n_aggs, table.row_count() as u64);
         let mut scan = table.scan_shuffled(seed);
         for _ in 0..budget {
             let Some(r) = scan.next_row() else { break };
             shuffled.observe(query.layout().agg_of_row(r.members), r.value);
         }
         // Stratified streaming.
-        let mut strat = SampleCache::new(n_aggs, table.row_count() as u64);
+        let strat = ShardedSampleCache::new(n_aggs, table.row_count() as u64);
         let mut scan = index.scan(table);
         for _ in 0..budget {
             let Some((_, r)) = scan.next_row() else { break };
             strat.observe(query.layout().agg_of_row(r.members), r.value);
         }
-        let min_bucket = |c: &SampleCache| (0..n_aggs as u32).map(|a| c.size(a)).min().unwrap_or(0);
+        let min_bucket =
+            |c: &ShardedSampleCache| (0..n_aggs as u32).map(|a| c.size(a)).min().unwrap_or(0);
         rows_md.push(vec![
             budget.to_string(),
             format!("{}/{}", shuffled.nonempty_count(), n_aggs),

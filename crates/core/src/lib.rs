@@ -9,6 +9,10 @@
 //! * [`holistic::Holistic`] — Algorithm 1: pipelined sampling + UCT
 //!   planning overlapped with voice output; starts speaking the preamble
 //!   immediately and refines quality estimates while each sentence plays.
+//!   One thread by default (cooperative and bit-reproducible under a
+//!   fixed seed); [`Holistic::with_threads`] spreads sharded row ingestion
+//!   and lock-free UCT sampling over a thread pool, the paper's literal
+//!   deployment architecture (see [`parallel`]).
 //! * [`optimal::Optimal`] — evaluates the query exactly and scores every
 //!   valid speech before speaking; the quality gold standard, far above the
 //!   500 ms interactivity threshold on large data.
@@ -18,11 +22,6 @@
 //!   data-vocalization baseline (Trummer et al., VLDB'17) the paper
 //!   compares against: enumerates the full result in value groups with
 //!   greedy scope merging and no length budget.
-//!
-//! [`parallel::ParallelHolistic`] is the multi-threaded deployment engine:
-//! the holistic algorithm with sharded row ingestion and lock-free UCT
-//! sampling across a configurable thread pool (single-threaded it
-//! reproduces [`holistic::Holistic`] exactly).
 //!
 //! ```
 //! use voxolap_core::approach::Vocalizer;

@@ -11,10 +11,10 @@
 //!   build the speech tree. (Optimal and PriorGreedy plug in here as an
 //!   exact-plan stage — their whole speech is planned up front.)
 //! * **Plan/Sample + Commit** run once per
-//!   [`SpeechStream::next_sentence`] call through the shared driver,
-//!   parameterized by a `SelectionPolicy` and an ingestion strategy
-//!   (sequential [`PlannerCore`](crate::sampler::PlannerCore), sharded
-//!   cooperative, or sharded multi-threaded).
+//!   [`SpeechStream::next_sentence`] call through the holistic driver,
+//!   parameterized by a `SelectionPolicy` and the thread count of its
+//!   [`Sampler`](crate::sampler::Sampler) (cooperative on the calling
+//!   thread, or multi-threaded).
 //! * **Emit** is the pull: the caller decides when to ask for the next
 //!   sentence, and a [`CancelToken`] threaded through ingestion and UCT
 //!   sampling aborts planning within one iteration when the consumer is

@@ -1,37 +1,28 @@
-//! The sample cache of paper Algorithm 3.
+//! Estimator helpers of the sample cache of paper Algorithm 3.
 //!
 //! Rows stream from the database in random order; rows within the current
-//! query scope are cached, indexed by the aggregate they belong to. The
-//! cache supplies:
+//! query scope are cached, indexed by the aggregate they belong to (see
+//! [`ShardedSampleCache`](crate::sharded::ShardedSampleCache)). This module
+//! holds the estimator arithmetic on top of the cached rows:
 //!
-//! * `size(a)` — number of cached entries per aggregate (`CA.SIZE`),
-//!   maintained during insertion so it costs O(1);
-//! * `nr_read()` — total rows considered, including out-of-scope ones
-//!   (`CA.NRREAD`), the denominator of the count estimator;
 //! * `resample(a)` — a fixed-size uniform subsample of one aggregate's
 //!   cached entries (`CA.RESAMPLE`), keeping estimate cost constant as the
 //!   cache fills;
-//! * unbiased estimators for COUNT, SUM, and AVG (`CacheEstimate`);
-//! * eligible-aggregate tracking for `PickAggregate` — for AVG only
-//!   aggregates with at least one cached row are eligible, for COUNT/SUM
-//!   *every* aggregate is (an empty bucket carries information once related
-//!   to `nr_read`).
+//! * unbiased estimators for COUNT, SUM, and AVG ([`CacheEstimate`]).
 
 use rand::Rng;
 
-use voxolap_data::dimension::MemberId;
-
-use crate::query::{AggFct, AggIdx, ResultLayout};
+use crate::query::AggFct;
 
 /// Default size of the fixed resample (paper §4.3: "we use a fixed size of
 /// 10 samples").
 pub const DEFAULT_RESAMPLE_SIZE: usize = 10;
 
-/// Reusable buffers for [`SampleCache::resample_into`] /
-/// [`SampleCache::estimate_with`]: the planner's inner loop calls these
-/// thousands of times per second, and reusing one scratch keeps the hot
-/// path allocation-free (the buffers grow to the working size once and are
-/// recycled).
+/// Reusable buffers for `ShardedSampleCache::resample_into` /
+/// `ShardedSampleCache::estimate_with`: the planner's inner loop calls
+/// these thousands of times per second, and reusing one scratch keeps the
+/// hot path allocation-free (the buffers grow to the working size once and
+/// are recycled).
 #[derive(Debug, Clone, Default)]
 pub struct ResampleScratch {
     /// Partial-Fisher–Yates index pool over the bucket.
@@ -73,7 +64,7 @@ pub(crate) fn resample_into_scratch<R: Rng + ?Sized>(
 }
 
 /// Combine the count estimate `e_c` with a resample `v` into the full
-/// estimate triple (shared by the sequential and sharded caches).
+/// estimate triple.
 pub(crate) fn estimate_from_resample(e_c: f64, v: &[f64]) -> CacheEstimate {
     let mean = if v.is_empty() { f64::NAN } else { v.iter().sum::<f64>() / v.len() as f64 };
     let e_s = if v.is_empty() { 0.0 } else { e_c * mean };
@@ -102,300 +93,30 @@ impl CacheEstimate {
     }
 }
 
-/// Sample cache for one query (see module docs).
-#[derive(Debug, Clone)]
-pub struct SampleCache {
-    buckets: Vec<Vec<f64>>,
-    /// Rows offered to each bucket (≥ bucket length once eviction kicks
-    /// in); drives the reservoir-sampling replacement probability and the
-    /// per-aggregate count statistics.
-    offered: Vec<u64>,
-    /// Aggregates with ≥ 1 cached entry, for O(1) uniform random picks.
-    nonempty: Vec<AggIdx>,
-    nr_read: u64,
-    nr_rows_total: u64,
-    resample_size: usize,
-    /// Optional cap on entries kept per bucket. The paper notes that
-    /// "old cache entries can be discarded periodically" to bound memory;
-    /// we implement the statistically clean variant — reservoir sampling —
-    /// so a capped bucket is always a uniform sample of the rows offered
-    /// to it.
-    bucket_capacity: Option<usize>,
-    /// Deterministic RNG for reservoir replacement decisions.
-    evict_rng: rand::rngs::StdRng,
-    /// Running statistics over the whole query scope, for baseline
-    /// candidate generation.
-    scope_count: u64,
-    scope_sum: f64,
-}
-
-impl SampleCache {
-    /// Create an empty cache for a query with `n_aggregates` result fields
-    /// over a table of `nr_rows_total` rows.
-    pub fn new(n_aggregates: usize, nr_rows_total: u64) -> Self {
-        use rand::SeedableRng;
-        SampleCache {
-            buckets: vec![Vec::new(); n_aggregates],
-            offered: vec![0; n_aggregates],
-            nonempty: Vec::new(),
-            nr_read: 0,
-            nr_rows_total,
-            resample_size: DEFAULT_RESAMPLE_SIZE,
-            bucket_capacity: None,
-            evict_rng: rand::rngs::StdRng::seed_from_u64(0x5eed_cafe),
-            scope_count: 0,
-            scope_sum: 0.0,
-        }
-    }
-
-    /// Override the fixed resample size (default
-    /// [`DEFAULT_RESAMPLE_SIZE`]).
-    pub fn with_resample_size(mut self, size: usize) -> Self {
-        assert!(size > 0, "resample size must be positive");
-        self.resample_size = size;
-        self
-    }
-
-    /// Bound memory: keep at most `capacity` entries per aggregate bucket,
-    /// maintained as a uniform reservoir sample of all rows offered.
-    pub fn with_bucket_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "bucket capacity must be positive");
-        self.bucket_capacity = Some(capacity);
-        self
-    }
-
-    /// Observe one streamed row: `agg` is its aggregate (or `None` when the
-    /// row falls outside the query scope), `value` its measure.
-    pub fn observe(&mut self, agg: Option<AggIdx>, value: f64) {
-        use rand::Rng;
-        self.nr_read += 1;
-        if let Some(a) = agg {
-            let bucket = &mut self.buckets[a as usize];
-            if bucket.is_empty() {
-                self.nonempty.push(a);
-            }
-            self.offered[a as usize] += 1;
-            match self.bucket_capacity {
-                Some(cap) if bucket.len() >= cap => {
-                    // Reservoir replacement: the new row displaces a random
-                    // cached one with probability cap / offered.
-                    let offered = self.offered[a as usize];
-                    let slot = self.evict_rng.gen_range(0..offered);
-                    if (slot as usize) < cap {
-                        bucket[slot as usize] = value;
-                    }
-                }
-                _ => bucket.push(value),
-            }
-            self.scope_count += 1;
-            self.scope_sum += value;
-        }
-    }
-
-    /// Observe a raw fact row, resolving its aggregate through `layout`.
-    pub fn observe_row(&mut self, layout: &ResultLayout, members: &[MemberId], value: f64) {
-        self.observe(layout.agg_of_row(members), value);
-    }
-
-    /// Warm-start a fresh cache from rows another query sampled over the
-    /// **same scope** (same measure, same filters, same seeded scan): each
-    /// cached in-scope row is re-bucketed through this query's `layout`,
-    /// then `nr_read` is set to the scan-prefix length the rows were drawn
-    /// from (which counts out-of-scope rows too). Because the donor's rows
-    /// are a prefix of the same seeded pseudo-random order, the seeded cache
-    /// is bit-identical to one that had streamed that prefix itself, and the
-    /// uniform-sample invariant of Algorithm 3 is preserved.
-    ///
-    /// Must be called on a cache that has not observed any row yet.
-    pub fn seed_rows<'r, I>(&mut self, layout: &ResultLayout, rows: I, nr_read: u64)
-    where
-        I: IntoIterator<Item = (&'r [MemberId], f64)>,
-    {
-        assert_eq!(self.nr_read, 0, "seed_rows requires a fresh cache");
-        let mut in_scope = 0u64;
-        for (members, value) in rows {
-            self.observe(layout.agg_of_row(members), value);
-            in_scope += 1;
-        }
-        debug_assert!(nr_read >= in_scope, "prefix shorter than its in-scope rows");
-        self.nr_read = nr_read;
-    }
-
-    /// The exact per-aggregate `(counts, sums)` of the query, available
-    /// once the scanner streamed the **whole table** into an **uncapped**
-    /// cache: every in-scope row was offered exactly once, so `offered` is
-    /// the exact count and each bucket's sum the exact sum. `None` while
-    /// the scan is partial or rows may have been evicted.
-    pub fn exact_result(&self) -> Option<(Vec<u64>, Vec<f64>)> {
-        if self.bucket_capacity.is_some() || self.nr_read < self.nr_rows_total {
-            return None;
-        }
-        let sums = self.buckets.iter().map(|b| b.iter().sum()).collect();
-        Some((self.offered.clone(), sums))
-    }
-
-    /// Number of cached entries for one aggregate (`CA.SIZE`).
-    pub fn size(&self, agg: AggIdx) -> usize {
-        self.buckets[agg as usize].len()
-    }
-
-    /// Total rows ever offered to one aggregate's bucket. Equal to
-    /// [`SampleCache::size`] without eviction; with a bucket capacity this
-    /// keeps counting, so count estimates stay unbiased ("the cache keeps
-    /// track of counts during insertions").
-    pub fn seen(&self, agg: AggIdx) -> u64 {
-        self.offered[agg as usize]
-    }
-
-    /// Total rows considered so far (`CA.NRREAD`).
-    pub fn nr_read(&self) -> u64 {
-        self.nr_read
-    }
-
-    /// Total rows of the underlying table (`nrRows` in Algorithm 3).
-    pub fn nr_rows_total(&self) -> u64 {
-        self.nr_rows_total
-    }
-
-    /// Number of aggregates with at least one cached entry.
-    pub fn nonempty_count(&self) -> usize {
-        self.nonempty.len()
-    }
-
-    /// Pick a random aggregate eligible for speech evaluation
-    /// (paper `PickAggregate`): uniform over all aggregates for COUNT/SUM,
-    /// uniform over non-empty ones for AVG. Returns `None` when nothing is
-    /// eligible yet.
-    pub fn pick_aggregate<R: Rng + ?Sized>(&self, fct: AggFct, rng: &mut R) -> Option<AggIdx> {
-        match fct {
-            AggFct::Count | AggFct::Sum => {
-                if self.buckets.is_empty() {
-                    None
-                } else {
-                    Some(rng.gen_range(0..self.buckets.len()) as AggIdx)
-                }
-            }
-            AggFct::Avg => {
-                if self.nonempty.is_empty() {
-                    None
-                } else {
-                    Some(self.nonempty[rng.gen_range(0..self.nonempty.len())])
-                }
-            }
-        }
-    }
-
-    /// Fixed-size uniform subsample of one aggregate's cached entries
-    /// (`CA.RESAMPLE`). Returns all entries if fewer than the resample size
-    /// are cached.
-    ///
-    /// Allocates a fresh `Vec` per call; the planner's hot path uses
-    /// [`SampleCache::resample_into`] with a reused scratch instead.
-    pub fn resample<R: Rng + ?Sized>(&self, agg: AggIdx, rng: &mut R) -> Vec<f64> {
-        let mut scratch = ResampleScratch::new();
-        self.resample_into(agg, rng, &mut scratch);
-        scratch.out
-    }
-
-    /// Allocation-free [`SampleCache::resample`]: draws into `scratch` and
-    /// returns the drawn slice.
-    pub fn resample_into<'s, R: Rng + ?Sized>(
-        &self,
-        agg: AggIdx,
-        rng: &mut R,
-        scratch: &'s mut ResampleScratch,
-    ) -> &'s [f64] {
-        resample_into_scratch(&self.buckets[agg as usize], self.resample_size, rng, scratch);
-        &scratch.out
-    }
-
-    /// Cache-based estimate for one aggregate (paper `CacheEstimate`):
-    ///
-    /// * `e_C = nrRows · size(a) / nrRead`
-    /// * `e_S = e_C · mean(V)` over a fixed-size resample `V`
-    /// * `e_A = e_S / e_C = mean(V)`
-    ///
-    /// Returns `None` before any row was read.
-    pub fn estimate<R: Rng + ?Sized>(&self, agg: AggIdx, rng: &mut R) -> Option<CacheEstimate> {
-        let mut scratch = ResampleScratch::new();
-        self.estimate_with(agg, rng, &mut scratch)
-    }
-
-    /// [`SampleCache::estimate`] with a caller-provided scratch, keeping
-    /// the per-iteration planner loop allocation-free.
-    pub fn estimate_with<R: Rng + ?Sized>(
-        &self,
-        agg: AggIdx,
-        rng: &mut R,
-        scratch: &mut ResampleScratch,
-    ) -> Option<CacheEstimate> {
-        if self.nr_read == 0 {
-            return None;
-        }
-        let e_c = self.nr_rows_total as f64 * self.seen(agg) as f64 / self.nr_read as f64;
-        let v = self.resample_into(agg, rng, scratch);
-        Some(estimate_from_resample(e_c, v))
-    }
-
-    /// Estimate of the query-scope-wide aggregate value, used to seed
-    /// baseline speech candidates before fine-grained samples exist.
-    ///
-    /// Returns `None` before any in-scope row was cached (for AVG) or before
-    /// any row was read (COUNT/SUM).
-    pub fn overall_estimate(&self, fct: AggFct) -> Option<f64> {
-        if self.nr_read == 0 {
-            return None;
-        }
-        let e_c = self.nr_rows_total as f64 * self.scope_count as f64 / self.nr_read as f64;
-        match fct {
-            AggFct::Count => Some(e_c),
-            AggFct::Sum => {
-                if self.scope_count == 0 {
-                    Some(0.0)
-                } else {
-                    Some(e_c * self.scope_sum / self.scope_count as f64)
-                }
-            }
-            AggFct::Avg => {
-                if self.scope_count == 0 {
-                    None
-                } else {
-                    Some(self.scope_sum / self.scope_count as f64)
-                }
-            }
-        }
-    }
-
-    /// Normal-approximation confidence interval for one aggregate's average
-    /// at `z` standard errors (e.g. `z = 1.96` for 95 %), based on all
-    /// cached entries. `None` with fewer than two entries.
-    ///
-    /// Used by the §4.4 uncertainty extensions; "the way in which confidence
-    /// bounds are calculated is not specific to vocalization".
-    pub fn confidence_interval(&self, agg: AggIdx, z: f64) -> Option<(f64, f64)> {
-        let bucket = &self.buckets[agg as usize];
-        if bucket.len() < 2 {
-            return None;
-        }
-        let n = bucket.len() as f64;
-        let mean = bucket.iter().sum::<f64>() / n;
-        let var = bucket.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        let se = (var / n).sqrt();
-        Some((mean - z * se, mean + z * se))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use voxolap_data::dimension::LevelId;
+    use voxolap_data::dimension::{LevelId, MemberId};
     use voxolap_data::salary::SalaryConfig;
     use voxolap_data::DimId;
 
     use crate::exact::evaluate;
-    use crate::query::Query;
+    use crate::query::{AggIdx, Query};
+    use crate::sharded::ShardedSampleCache;
+
+    fn estimate(
+        cache: &ShardedSampleCache,
+        agg: AggIdx,
+        rng: &mut StdRng,
+    ) -> Option<CacheEstimate> {
+        cache.estimate_with(agg, rng, &mut ResampleScratch::new())
+    }
+
+    fn resample(cache: &ShardedSampleCache, agg: AggIdx, rng: &mut StdRng) -> Vec<f64> {
+        cache.resample_into(agg, rng, &mut ResampleScratch::new()).to_vec()
+    }
 
     fn salary_setup() -> (voxolap_data::Table, Query) {
         let table = SalaryConfig::paper_scale().generate();
@@ -407,8 +128,13 @@ mod tests {
         (table, q)
     }
 
-    fn fill_cache(table: &voxolap_data::Table, q: &Query, rows: usize, seed: u64) -> SampleCache {
-        let mut cache = SampleCache::new(q.n_aggregates(), table.row_count() as u64);
+    fn fill_cache(
+        table: &voxolap_data::Table,
+        q: &Query,
+        rows: usize,
+        seed: u64,
+    ) -> ShardedSampleCache {
+        let cache = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
         let mut scan = table.scan_shuffled(seed);
         for _ in 0..rows {
             match scan.next_row() {
@@ -438,7 +164,7 @@ mod tests {
         let cache = fill_cache(&table, &q, 320, 3); // full table cached
         let mut rng = StdRng::seed_from_u64(1);
         for agg in 0..q.n_aggregates() as u32 {
-            let est = cache.estimate(agg, &mut rng).unwrap();
+            let est = estimate(&cache, agg, &mut rng).unwrap();
             // Count estimate is exact with full scan.
             assert!((est.count - exact.count(agg) as f64).abs() < 1e-6);
             // Average from a resample of 10 is noisy but in range.
@@ -471,7 +197,7 @@ mod tests {
         let cache = fill_cache(&table, &q, 320, 3);
         let mut rng = StdRng::seed_from_u64(5);
         for agg in 0..q.n_aggregates() as u32 {
-            let v = cache.resample(agg, &mut rng);
+            let v = resample(&cache, agg, &mut rng);
             assert!(v.len() <= DEFAULT_RESAMPLE_SIZE);
             if cache.size(agg) >= DEFAULT_RESAMPLE_SIZE {
                 assert_eq!(v.len(), DEFAULT_RESAMPLE_SIZE);
@@ -484,7 +210,7 @@ mod tests {
     #[test]
     fn pick_aggregate_avg_requires_cached_entries() {
         let (table, q) = salary_setup();
-        let empty = SampleCache::new(q.n_aggregates(), table.row_count() as u64);
+        let empty = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
         let mut rng = StdRng::seed_from_u64(2);
         assert_eq!(empty.pick_aggregate(AggFct::Avg, &mut rng), None);
         // COUNT/SUM can pick any aggregate even with an empty cache.
@@ -532,7 +258,7 @@ mod tests {
 
     #[test]
     fn overall_estimate_none_before_rows() {
-        let cache = SampleCache::new(4, 100);
+        let cache = ShardedSampleCache::new(4, 100);
         assert_eq!(cache.overall_estimate(AggFct::Avg), None);
         assert_eq!(cache.overall_estimate(AggFct::Count), None);
     }
@@ -553,7 +279,7 @@ mod tests {
 
     #[test]
     fn confidence_interval_needs_two_entries() {
-        let cache = SampleCache::new(2, 10);
+        let cache = ShardedSampleCache::new(2, 10);
         assert_eq!(cache.confidence_interval(0, 1.96), None);
     }
 
@@ -588,7 +314,7 @@ mod tests {
             // Cold target cache over the same prefix.
             let cold = fill_cache(&table, &target, prefix, seed);
             // Warm target cache seeded from the donor's log.
-            let mut warm = SampleCache::new(target.n_aggregates(), table.row_count() as u64);
+            let warm = ShardedSampleCache::new(target.n_aggregates(), table.row_count() as u64);
             warm.seed_rows(target.layout(), log.iter().map(|(m, v)| (m.as_slice(), *v)), nr_read);
             assert_eq!(warm.nr_read(), cold.nr_read());
             assert_eq!(warm.nonempty_count(), cold.nonempty_count());
@@ -598,8 +324,8 @@ mod tests {
                 let mut rng_w = StdRng::seed_from_u64(seed ^ 0xabc);
                 let mut rng_c = StdRng::seed_from_u64(seed ^ 0xabc);
                 assert_eq!(
-                    warm.estimate(agg, &mut rng_w),
-                    cold.estimate(agg, &mut rng_c),
+                    estimate(&warm, agg, &mut rng_w),
+                    estimate(&cold, agg, &mut rng_c),
                     "estimates identical in distribution (same RNG stream)"
                 );
             }
@@ -619,8 +345,8 @@ mod tests {
             assert_eq!(counts[agg as usize], exact.count(agg));
             assert!((sums[agg as usize] - exact.sum(agg)).abs() < 1e-9);
         }
-        let mut capped =
-            SampleCache::new(q.n_aggregates(), table.row_count() as u64).with_bucket_capacity(4);
+        let capped = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64)
+            .with_bucket_capacity(4);
         let mut scan = table.scan_shuffled(3);
         while let Some(r) = scan.next_row() {
             capped.observe(q.layout().agg_of_row(r.members), r.value);
@@ -646,7 +372,20 @@ mod eviction_tests {
     use voxolap_data::salary::SalaryConfig;
     use voxolap_data::DimId;
 
-    use crate::query::Query;
+    use crate::query::{AggIdx, Query};
+    use crate::sharded::ShardedSampleCache;
+
+    fn estimate(
+        cache: &ShardedSampleCache,
+        agg: AggIdx,
+        rng: &mut StdRng,
+    ) -> Option<CacheEstimate> {
+        cache.estimate_with(agg, rng, &mut ResampleScratch::new())
+    }
+
+    fn resample(cache: &ShardedSampleCache, agg: AggIdx, rng: &mut StdRng) -> Vec<f64> {
+        cache.resample_into(agg, rng, &mut ResampleScratch::new()).to_vec()
+    }
 
     #[test]
     fn bucket_capacity_bounds_memory() {
@@ -655,8 +394,8 @@ mod eviction_tests {
             .group_by(DimId(0), LevelId(1))
             .build(table.schema())
             .unwrap();
-        let mut cache =
-            SampleCache::new(q.n_aggregates(), table.row_count() as u64).with_bucket_capacity(16);
+        let cache = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64)
+            .with_bucket_capacity(16);
         let mut scan = table.scan_shuffled(3);
         while let Some(r) = scan.next_row() {
             cache.observe(q.layout().agg_of_row(r.members), r.value);
@@ -677,8 +416,8 @@ mod eviction_tests {
             .group_by(DimId(0), LevelId(1))
             .build(table.schema())
             .unwrap();
-        let mut capped =
-            SampleCache::new(q.n_aggregates(), table.row_count() as u64).with_bucket_capacity(4);
+        let capped = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64)
+            .with_bucket_capacity(4);
         let mut scan = table.scan_shuffled(3);
         while let Some(r) = scan.next_row() {
             capped.observe(q.layout().agg_of_row(r.members), r.value);
@@ -686,7 +425,7 @@ mod eviction_tests {
         let exact = crate::exact::evaluate(&q, &table);
         let mut rng = StdRng::seed_from_u64(1);
         for agg in 0..q.n_aggregates() as u32 {
-            let est = capped.estimate(agg, &mut rng).unwrap();
+            let est = estimate(&capped, agg, &mut rng).unwrap();
             assert!(
                 (est.count - exact.count(agg) as f64).abs() < 1e-9,
                 "full-scan count estimate exact despite eviction: {} vs {}",
@@ -705,7 +444,7 @@ mod eviction_tests {
         let true_mean = stream.iter().sum::<f64>() / stream.len() as f64;
         let mut acc = 0.0;
         for seed in 0..n_streams {
-            let mut cache = SampleCache::new(1, 200).with_bucket_capacity(8);
+            let cache = ShardedSampleCache::new(1, 200).with_bucket_capacity(8);
             // Individualize eviction decisions via a distinct insertion
             // order per stream.
             let mut order: Vec<usize> = (0..stream.len()).collect();
@@ -716,7 +455,7 @@ mod eviction_tests {
                 cache.observe(Some(0), stream[i]);
             }
             let mut rng = StdRng::seed_from_u64(seed ^ 7);
-            let v = cache.resample(0, &mut rng);
+            let v = resample(&cache, 0, &mut rng);
             acc += v.iter().sum::<f64>() / v.len() as f64;
         }
         let mean_of_means = acc / n_streams as f64;
@@ -729,6 +468,6 @@ mod eviction_tests {
     #[test]
     #[should_panic(expected = "bucket capacity must be positive")]
     fn zero_capacity_rejected() {
-        let _ = SampleCache::new(1, 10).with_bucket_capacity(0);
+        let _ = ShardedSampleCache::new(1, 10).with_bucket_capacity(0);
     }
 }

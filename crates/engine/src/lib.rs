@@ -11,9 +11,10 @@
 //!
 //! * [`exact`] — a full scan with group-by, used by the *Optimal* planner
 //!   variant and by exact speech-quality computation;
-//! * [`cache`] — the continuously-filled sample cache of paper Algorithm 3,
-//!   supplying unbiased count/sum/average estimates from row samples, used
-//!   by the *Holistic* and *Unmerged* planners.
+//! * [`sharded`] — the continuously-filled sample cache of paper
+//!   Algorithm 3 (with the estimator helpers in [`cache`]), supplying
+//!   unbiased count/sum/average estimates from row samples, used by the
+//!   *Holistic* and *Unmerged* planners.
 //!
 //! ```
 //! use voxolap_data::salary::SalaryConfig;
@@ -42,7 +43,7 @@ pub mod semantic;
 pub mod sharded;
 pub mod stratified;
 
-pub use cache::{CacheEstimate, ResampleScratch, SampleCache};
+pub use cache::{CacheEstimate, ResampleScratch};
 pub use error::EngineError;
 pub use exact::{evaluate, ExactResult};
 pub use query::{

@@ -137,8 +137,8 @@ impl<'a> StratifiedScanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::SampleCache;
     use crate::query::AggFct;
+    use crate::sharded::ShardedSampleCache;
     use voxolap_data::dimension::LevelId;
     use voxolap_data::flights::FlightsConfig;
 
@@ -189,7 +189,7 @@ mod tests {
         let (table, q) = setup();
         let index = AggregateIndex::build(&table, &q, 7);
         // Feed the first 3 rounds into a cache.
-        let mut cache = SampleCache::new(q.n_aggregates(), table.row_count() as u64);
+        let cache = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
         let mut scan = index.scan(&table);
         for _ in 0..(3 * q.n_aggregates()) {
             let Some((_, row)) = scan.next_row() else { break };

@@ -1483,16 +1483,21 @@ fn handle_session_line(job: SessionLineJob, shared: &Shared) {
     let failed = sink.failed;
     HttpMetrics::add(&metrics.bytes_out, sink.bytes_out);
 
-    if verdict == SessionVerdict::Continue && !failed && !shared.stopped() {
-        shared.park(Returned {
-            stream,
-            mode: Mode::Session { ctx, last_heartbeat: Instant::now() },
-            leftover,
-            served: 0,
-        });
-    } else {
-        ctx.closed(metrics);
+    if verdict == SessionVerdict::Continue && !failed {
+        if !shared.stopped() {
+            shared.park(Returned {
+                stream,
+                mode: Mode::Session { ctx, last_heartbeat: Instant::now() },
+                leftover,
+                served: 0,
+            });
+            return;
+        }
+        // Shutdown began while this line was handled: the session would
+        // have stayed open, so it gets the same farewell as parked ones.
+        let _ = stream.write_all(b"{\"type\":\"bye\",\"reason\":\"shutdown\"}\n");
     }
+    ctx.closed(metrics);
 }
 
 // ---------------------------------------------------------------------------
