@@ -19,6 +19,7 @@ use voxolap_core::CancelToken;
 use voxolap_data::Table;
 use voxolap_engine::query::Query;
 use voxolap_json::Value;
+use voxolap_server::percentile;
 use voxolap_voice::tts::RealTimeVoice;
 
 use crate::{flights_table, markdown_table, region_season_query, HostInfo};
@@ -40,17 +41,6 @@ pub struct ApproachReport {
     pub gap_ms: Vec<f64>,
     pub total_ms: Vec<f64>,
     pub sentences: usize,
-}
-
-/// The `p`-th percentile (nearest rank) of an unsorted sample vector.
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut l = samples.to_vec();
-    l.sort_by(|a, b| a.total_cmp(b));
-    let idx = ((p / 100.0) * (l.len() - 1) as f64).round() as usize;
-    l[idx.min(l.len() - 1)]
 }
 
 fn engine(approach: &'static str, threads: usize, seed: u64) -> Box<dyn Vocalizer> {

@@ -28,7 +28,7 @@ pub mod api;
 pub mod http;
 pub mod reactor;
 
-pub use api::{AppState, SessionEntry, SessionStore};
+pub use api::{percentile, AppState, SessionEntry, SessionStore};
 pub use http::{
     serve, serve_with, BodyWriter, HttpMetrics, HttpMetricsSnapshot, Request, Response,
     ServerConfig, ServerHandle, SessionSink, SessionUpgrade, SessionVerdict, StreamBody,

@@ -176,14 +176,19 @@ fn parse_refinement(sentence: &str, schema: &Schema) -> Result<Refinement, Speec
 /// Parse a speech body (baseline sentence + refinement sentences, no
 /// preamble) back into a [`Speech`].
 pub fn parse_body(body: &str, schema: &Schema, query: &Query) -> Result<Speech, SpeechParseError> {
-    let sentences: Vec<&str> = body
-        .split(". ")
-        .map(|s| s.trim().trim_end_matches('.'))
-        .filter(|s| !s.is_empty())
-        .collect();
-    let Some((&first, rest)) = sentences.split_first() else {
+    // Sentences end at ". Values " boundaries, and only the body's final
+    // period is a terminator: member phrases may end in a period of their
+    // own ("…Inc.." at the end, "…Inc.. Values …" in the middle).
+    let body = body.trim();
+    let body = body.strip_suffix('.').unwrap_or(body);
+    if body.is_empty() {
         return Err(err("empty speech body", body));
-    };
+    }
+    let mut sentences = body.split(". Values ");
+    let first = sentences.next().unwrap_or_default().trim();
+    if let Some((_, extra)) = first.split_once(". ") {
+        return Err(err("refinement must start with \"Values\"", extra));
+    }
 
     // Baseline: "<V> is the <A>" with the first letter capitalized.
     let (value_phrase, _agg) = first
@@ -198,8 +203,9 @@ pub fn parse_body(body: &str, schema: &Schema, query: &Query) -> Result<Speech, 
         .or_else(|| parse_value_phrase(&value_phrase.to_lowercase(), unit))
         .ok_or_else(|| err("unparseable baseline value", value_phrase))?;
 
-    let refinements =
-        rest.iter().map(|s| parse_refinement(s, schema)).collect::<Result<Vec<_>, _>>()?;
+    let refinements = sentences
+        .map(|s| parse_refinement(&format!("Values {}", s.trim()), schema))
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(Speech { baseline, refinements })
 }
 

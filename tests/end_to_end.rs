@@ -212,10 +212,19 @@ fn parallel_single_thread_matches_holistic_on_flights() {
         resample_size: 200,
         ..HolisticConfig::default()
     };
-    let mut v1 = InstantVoice::default();
-    let seq = Holistic::new(cfg.clone()).vocalize(&table, &query, &mut v1);
-    let mut v2 = InstantVoice::default();
-    let par = ParallelHolistic::new(cfg).with_threads(1).vocalize(&table, &query, &mut v2);
-    assert_eq!(par.sentences, seq.sentences);
-    assert_eq!(par.stats.samples, seq.stats.samples);
+    let mut voice = InstantVoice::default();
+    let par = ParallelHolistic::new(cfg).with_threads(1).vocalize(&table, &query, &mut voice);
+    // The single-threaded engine's pinned answer ("cold/region-season/42"
+    // in tests/golden_pins.rs): the parsed question plans like the
+    // builder-made query.
+    assert_eq!(
+        par.sentences,
+        [
+            "Around half a percent is the average cancellation probability.",
+            "Values decrease by 10 percent for flights starting from the South.",
+            "Values decrease by 5 percent for flights starting from the Midwest.",
+        ]
+    );
+    assert_eq!(par.stats.samples, 1200);
+    assert_eq!(par.stats.rows_read, 6000);
 }
