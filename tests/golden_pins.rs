@@ -11,6 +11,11 @@
 //! modes, the uniform-random selection policy, and the unmerged planner
 //! under an iteration budget. Every holistic case runs both through
 //! `Holistic::new` and `ParallelHolistic::new(..).with_threads(1)`.
+//!
+//! Tree pins fix the shape of whole speech trees: node count, truncation,
+//! and a hash over every node's parent, sentence and payload bits, so a
+//! change to expansion order, validity cuts or reference chaining fails
+//! even where no sampled transcript happens to show it.
 
 use std::sync::Arc;
 
@@ -19,6 +24,7 @@ use voxolap_core::holistic::{Holistic, HolisticConfig};
 use voxolap_core::outcome::VocalizationOutcome;
 use voxolap_core::parallel::ParallelHolistic;
 use voxolap_core::sampler::SelectionPolicy;
+use voxolap_core::tree::{NodeKind, SpeechTree};
 use voxolap_core::unmerged::{SamplingBudget, Unmerged, UnmergedConfig};
 use voxolap_core::voice::InstantVoice;
 use voxolap_core::UncertaintyMode;
@@ -26,8 +32,11 @@ use voxolap_data::dimension::LevelId;
 use voxolap_data::flights::FlightsConfig;
 use voxolap_data::schema::MeasureId;
 use voxolap_data::{DimId, DimValue, IngestRow, Table};
+use voxolap_engine::exact::evaluate;
 use voxolap_engine::query::{AggFct, Query};
 use voxolap_engine::semantic::SemanticCache;
+use voxolap_speech::candidates::CandidateGenerator;
+use voxolap_speech::render::Renderer;
 
 /// One pinned answer: the spoken body sentences and the planner's
 /// sampling iterations and fresh rows read.
@@ -120,6 +129,16 @@ const PINS: &[Pin] = &[
         rows_read: 0,
     },
     Pin {
+        label: "cache/exact-hit-region-500000",
+        sentences: &[
+            "Around two point five percent is the average cancellation probability.",
+            "Values decrease by 25 percent for flights starting from the South.",
+            "Values decrease by 50 percent for flights starting from the United States territories.",
+        ],
+        samples: 0,
+        rows_read: 0,
+    },
+    Pin {
         label: "cache/after-append",
         sentences: &[
             "Around zero point eight percent is the average cancellation probability.",
@@ -202,6 +221,36 @@ const PINS: &[Pin] = &[
     },
 ];
 
+/// One pinned speech tree: its size, truncation flag and the FNV-1a hash
+/// of [`tree_hash`].
+struct TreePin {
+    label: &'static str,
+    nodes: usize,
+    truncated: bool,
+    hash: u64,
+}
+
+const TREE_PINS: &[TreePin] = &[
+    TreePin {
+        label: "region/500000",
+        nodes: 44_116,
+        truncated: false,
+        hash: 0xab4c_c9f1_7e09_5d76,
+    },
+    TreePin {
+        label: "season/500000",
+        nodes: 30_210,
+        truncated: false,
+        hash: 0x903a_2150_2b53_f624,
+    },
+    TreePin {
+        label: "region-season/30000",
+        nodes: 30_000,
+        truncated: true,
+        hash: 0x0463_18ac_bde8_c43b,
+    },
+];
+
 fn table() -> Table {
     FlightsConfig { rows: 6_000, seed: 42 }.generate()
 }
@@ -218,6 +267,11 @@ fn region_season(table: &Table) -> Query {
 /// Cancellation probability by region — same scope as `region_season`.
 fn region(table: &Table) -> Query {
     Query::builder(AggFct::Avg).group_by(DimId(0), LevelId(1)).build(table.schema()).unwrap()
+}
+
+/// Cancellation probability by season.
+fn season(table: &Table) -> Query {
+    Query::builder(AggFct::Avg).group_by(DimId(1), LevelId(1)).build(table.schema()).unwrap()
 }
 
 /// Cancellation probability in Winter, by region.
@@ -263,6 +317,33 @@ fn check(label: &str, outcome: &VocalizationOutcome) {
     assert_eq!(outcome.sentences, pin.sentences, "{label}: sentences");
     assert_eq!(outcome.stats.samples, pin.samples, "{label}: samples");
     assert_eq!(outcome.stats.rows_read, pin.rows_read, "{label}: rows read");
+}
+
+/// 64-bit FNV-1a over every node in id order: its parent id, its
+/// sentence, and its payload bits (a baseline's value, a refinement's
+/// delta and implied value).
+fn tree_hash(tree: &SpeechTree, renderer: &Renderer<'_>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for node in tree.all_nodes() {
+        let parent = tree.tree().parent(node).map_or(u32::MAX, |p| p.0);
+        feed(&parent.to_le_bytes());
+        feed(tree.sentence(node, renderer).unwrap_or_default().as_bytes());
+        match tree.tree().data(node) {
+            NodeKind::Root => {}
+            NodeKind::Baseline(b) => feed(&b.value.to_bits().to_le_bytes()),
+            NodeKind::Refinement { delta, implied_value, .. } => {
+                feed(&delta.to_bits().to_le_bytes());
+                feed(&implied_value.to_bits().to_le_bytes());
+            }
+        }
+    }
+    h
 }
 
 /// Ingest rows duplicating the table's own prefix, valid under the
@@ -373,4 +454,46 @@ fn unmerged_iteration_budget_matches_pins() {
     });
     check("unmerged/region-season", &run(&unmerged, &t, &region_season(&t)));
     check("unmerged/winter-region", &run(&unmerged, &t, &winter_by_region(&t)));
+}
+
+#[test]
+fn speech_trees_match_pins() {
+    let t = table();
+    let cfg = HolisticConfig::default();
+    for (label, q, cap) in [
+        ("region/500000", region(&t), 500_000),
+        ("season/500000", season(&t), 500_000),
+        ("region-season/30000", region_season(&t), 30_000),
+    ] {
+        let schema = t.schema();
+        let generator = CandidateGenerator::new(schema, &q, cfg.candidates.clone());
+        let renderer = Renderer::new(schema, &q);
+        let overall = evaluate(&q, &t).grand_mean();
+        let tree = SpeechTree::build(&generator, &renderer, &cfg.constraints, overall, cap);
+        let (nodes, truncated) = (tree.tree().node_count(), tree.truncated());
+        let hash = tree_hash(&tree, &renderer);
+        let Some(pin) = TREE_PINS.iter().find(|p| p.label == label) else {
+            panic!(
+                "no tree pin {label:?}: nodes {nodes}, truncated {truncated}, hash {hash:#018x}"
+            );
+        };
+        assert_eq!(
+            (nodes, truncated, hash),
+            (pin.nodes, pin.truncated, pin.hash),
+            "{label}: nodes, truncated, hash {hash:#018x}"
+        );
+    }
+}
+
+#[test]
+fn exact_hit_at_the_default_node_cap_matches_pin() {
+    let t = table();
+    let q = region(&t);
+    let cfg =
+        HolisticConfig { max_tree_nodes: HolisticConfig::default().max_tree_nodes, ..config(42) };
+    let cache = Arc::new(SemanticCache::with_capacity_mb(8));
+    let engine = Holistic::new(cfg).with_cache(cache.clone());
+    run(&engine, &t, &q);
+    check("cache/exact-hit-region-500000", &run(&engine, &t, &q));
+    assert_eq!(cache.stats().exact_hits, 1);
 }

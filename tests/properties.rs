@@ -8,12 +8,16 @@
 //! * grammar shape of rendered speeches;
 //! * cache estimator consistency for arbitrary sampling prefixes;
 //! * uniformity of the two-level chunked scan order (prefix-sample means
-//!   converge at the estimator's error rate across 50 seeds).
+//!   converge at the estimator's error rate across 50 seeds);
+//! * speech-tree expansion against its definition: a node's children are
+//!   the generator's refinements of the node's speech that pass
+//!   `SG.IsValid`, in order.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+use voxolap_core::tree::SpeechTree;
 use voxolap_data::dimension::LevelId;
 use voxolap_data::flights::FlightsConfig;
 use voxolap_data::salary::SalaryConfig;
@@ -22,6 +26,8 @@ use voxolap_engine::exact::evaluate;
 use voxolap_engine::query::{AggFct, Query};
 use voxolap_engine::sharded::ShardedSampleCache;
 use voxolap_speech::ast::{Baseline, Change, Direction, Predicate, Refinement, Speech};
+use voxolap_speech::candidates::{CandidateConfig, CandidateGenerator};
+use voxolap_speech::constraints::SpeechConstraints;
 use voxolap_speech::parse::parse_body;
 use voxolap_speech::render::Renderer;
 use voxolap_speech::scope::CompiledSpeech;
@@ -421,5 +427,83 @@ fn exact_evaluation_matches_brute_force() {
                 assert!((result.value(agg) - sum / n as f64).abs() < 1e-9);
             }
         }
+    }
+}
+
+#[test]
+fn tree_children_are_the_valid_refinements_of_their_speech() {
+    let table = FlightsConfig { rows: 2_000, seed: 3 }.generate();
+    let schema = table.schema();
+    let territories =
+        schema.dimension(DimId(0)).member_by_phrase("the United States territories").unwrap();
+    let territory_season = Query::builder(AggFct::Avg)
+        .filter(DimId(0), territories)
+        .group_by(DimId(0), LevelId(2))
+        .group_by(DimId(1), LevelId(1))
+        .build(schema)
+        .unwrap();
+    let by_state =
+        Query::builder(AggFct::Avg).group_by(DimId(0), LevelId(2)).build(schema).unwrap();
+    let pairs = CandidateConfig { max_predicates: 2, ..CandidateConfig::default() };
+    // Predicate pairs under a character budget that cuts many second
+    // refinements, then a deeper budget whose node cap truncates
+    // expansion part-way.
+    for (q, candidates, constraints, cap) in [
+        (
+            &territory_season,
+            pairs,
+            SpeechConstraints { max_chars: 200, max_refinements: 2 },
+            20_000,
+        ),
+        (
+            &by_state,
+            CandidateConfig::default(),
+            SpeechConstraints { max_chars: 250, max_refinements: 3 },
+            600,
+        ),
+    ] {
+        let max_predicates = candidates.max_predicates;
+        let generator = CandidateGenerator::new(schema, q, candidates);
+        let renderer = Renderer::new(schema, q);
+        let overall = evaluate(q, &table).grand_mean();
+        let tree = SpeechTree::build(&generator, &renderer, &constraints, overall, cap);
+        let t = tree.tree();
+        // Expansion is depth-first and stops everywhere at once when the
+        // cap is hit, so only the last node and its ancestors may hold a
+        // strict prefix of their children.
+        let last = tree.all_nodes().last().unwrap();
+        let mut open = Vec::new();
+        let mut cur = Some(last);
+        while let Some(n) = cur {
+            open.push(n);
+            cur = t.parent(n);
+        }
+        let (mut cut_by_length, mut pair_children) = (0, 0);
+        for node in tree.all_nodes().skip(1) {
+            let prefix = tree.speech_at(node);
+            let mut expected = Vec::new();
+            for r in generator.refinements(&prefix) {
+                let extended = prefix.with_refinement(r.clone());
+                if constraints.is_valid(&renderer, &extended) {
+                    expected.push(r);
+                } else if extended.refinements.len() <= constraints.max_refinements {
+                    cut_by_length += 1;
+                }
+            }
+            let children: Vec<Refinement> = t
+                .children(node)
+                .iter()
+                .map(|&c| tree.speech_at(c).refinements.last().cloned().unwrap())
+                .collect();
+            pair_children += children.iter().filter(|r| r.predicates.len() == 2).count();
+            if tree.truncated() && open.contains(&node) {
+                assert!(expected.starts_with(&children), "node {node:?}: children not a prefix");
+            } else {
+                assert_eq!(children, expected, "node {node:?}");
+            }
+        }
+        assert!(cut_by_length > 0, "the character budget removes children");
+        assert_eq!(pair_children > 0, max_predicates == 2, "{pair_children} pair children");
+        assert_eq!(tree.truncated(), cap == 600, "nodes {}", t.node_count());
     }
 }
