@@ -23,7 +23,7 @@ use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::stream::{FinishInfo, SentenceSource};
 use crate::resilience::{round_status, RoundEnd};
 use crate::sampler::Sampler;
-use crate::tree::{NodeKind, SpeechTree};
+use crate::tree::SpeechTree;
 use crate::uncertainty::{annotate, UncertaintyMode};
 use crate::voice::VoiceOutput;
 
@@ -163,11 +163,10 @@ impl<'a> HolisticSource<'a> {
 /// for a baseline, the refinement scope otherwise. Used only for
 /// uncertainty annotations.
 fn relevant_aggs(tree: &SpeechTree, node: NodeId, layout: &ResultLayout) -> Vec<AggIdx> {
-    match tree.tree().data(node) {
-        NodeKind::Root | NodeKind::Baseline(_) => (0..layout.n_aggregates() as u32).collect(),
-        NodeKind::Refinement { scope, .. } => {
-            (0..layout.n_aggregates() as u32).filter(|&a| scope.contains(a, layout)).collect()
-        }
+    let all = 0..layout.n_aggregates() as u32;
+    match tree.scope(node) {
+        None => all.collect(),
+        Some(scope) => all.filter(|&a| scope.contains(a, layout)).collect(),
     }
 }
 

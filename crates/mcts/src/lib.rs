@@ -81,8 +81,10 @@ fn fetch_add_f64(cell: &AtomicU64, delta: f64) {
     }
 }
 
-/// One search-tree node (paper Table 4: text fields live in `data`,
-/// `visits`/`reward` are the planner statistics). Statistics are atomic so
+/// One search-tree node (paper Table 4: `visits`/`reward` are the planner
+/// statistics; the caller's `data` payload stands in for the text fields —
+/// the speech planner stores a small increment there, with the sentence
+/// itself in a per-query table). Statistics are atomic so
 /// sampling threads share the node without locking; `vloss` counts
 /// in-flight concurrent descents through this node (virtual loss).
 #[derive(Debug)]

@@ -29,13 +29,6 @@ impl SpeechConstraints {
         speech.refinements.len() <= self.max_refinements
             && renderer.body_len(speech) <= self.max_chars
     }
-
-    /// `true` when `speech` already saturates the constraints — appending
-    /// any refinement would necessarily violate them. (A cheap necessary
-    /// check; the planner still validates each concrete extension.)
-    pub fn at_fragment_limit(&self, speech: &Speech) -> bool {
-        speech.refinements.len() >= self.max_refinements
-    }
 }
 
 impl Default for SpeechConstraints {
@@ -80,7 +73,6 @@ mod tests {
         speech = speech.with_refinement(refinement.clone());
         speech = speech.with_refinement(refinement.clone());
         assert!(constraints.is_valid(&r, &speech));
-        assert!(constraints.at_fragment_limit(&speech));
 
         speech = speech.with_refinement(refinement.clone());
         assert!(!constraints.is_valid(&r, &speech), "third refinement over limit");
