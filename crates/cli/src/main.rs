@@ -444,6 +444,7 @@ fn cmd_repl(opts: &Options, table: &Table) -> Result<(), String> {
                     |ev| match ev {
                         StreamEvent::Preamble(p) => println!("{p}"),
                         StreamEvent::Sentence(s) => println!("{}", s.text),
+                        StreamEvent::Flush => {}
                     },
                 );
                 match streamed {

@@ -68,6 +68,13 @@ pub(crate) trait SentenceSource<'a> {
     /// Cumulative rows read so far.
     fn rows_read(&self) -> u64;
 
+    /// `true` when `next` never plans: every remaining sentence is
+    /// already committed, so a caller may hold them back and deliver the
+    /// rest of the answer together.
+    fn ready(&self) -> bool {
+        false
+    }
+
     /// Settle accounts (called exactly once).
     fn finish(&mut self) -> FinishInfo;
 }
@@ -139,6 +146,10 @@ impl<'a> SentenceSource<'a> for Buffered<'a> {
 
     fn rows_read(&self) -> u64 {
         self.rows_read
+    }
+
+    fn ready(&self) -> bool {
+        true
     }
 
     fn finish(&mut self) -> FinishInfo {
@@ -248,6 +259,14 @@ impl<'a> SpeechStream<'a> {
     /// Whether this stream's cancellation token has fired.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.fired()
+    }
+
+    /// Whether the next [`next_sentence`](SpeechStream::next_sentence)
+    /// call may plan (sample) before it returns. A transport flushes what
+    /// it holds before such a call; while this is `false` the remaining
+    /// sentences come back at once and can share one write.
+    pub fn will_plan(&self) -> bool {
+        !self.done && !self.source.ready()
     }
 
     /// Plan, commit, and start speaking the next sentence. `None` when

@@ -278,6 +278,56 @@ fn dist_json(samples: &Mutex<Vec<f64>>) -> Value {
     ])
 }
 
+/// One `/stats` sample distribution.
+type Samples = Mutex<Vec<f64>>;
+
+/// Time to first sentence and inter-sentence gaps as the client sees
+/// them: a sentence counts as delivered when the batch holding it is
+/// handed to the socket, not when the planner commits it.
+struct DeliveryStamps<'a> {
+    t0: Instant,
+    last: Instant,
+    /// Sentences queued since the last batch went out.
+    unsent: usize,
+    ttfs_ms: Option<f64>,
+    /// `/stats` distributions (TTFS, gaps) that take each stamp as it
+    /// is made; `None` keeps the stamps local.
+    sinks: Option<(&'a Samples, &'a Samples)>,
+}
+
+impl<'a> DeliveryStamps<'a> {
+    fn new(t0: Instant, sinks: Option<(&'a Samples, &'a Samples)>) -> Self {
+        DeliveryStamps { t0, last: t0, unsent: 0, ttfs_ms: None, sinks }
+    }
+
+    /// A sentence joined the pending batch.
+    fn queued(&mut self) {
+        self.unsent += 1;
+    }
+
+    /// The pending batch is about to be written: stamp its sentences.
+    fn flushed(&mut self) {
+        if self.unsent == 0 {
+            return;
+        }
+        let now = Instant::now();
+        for _ in 0..self.unsent {
+            let ms = |since: Instant| (now - since).as_secs_f64() * 1e3;
+            if self.ttfs_ms.is_none() {
+                let ttfs = ms(self.t0);
+                self.ttfs_ms = Some(ttfs);
+                if let Some((ttfs_sink, _)) = self.sinks {
+                    ttfs_sink.lock().push(ttfs);
+                }
+            } else if let Some((_, gap_sink)) = self.sinks {
+                gap_sink.lock().push(ms(self.last));
+            }
+            self.last = now;
+        }
+        self.unsent = 0;
+    }
+}
+
 impl AppState {
     /// Create state over one dataset, with all cores available to the
     /// `parallel` approach and a default-sized semantic cache. Appends
@@ -539,6 +589,7 @@ impl AppState {
             ("idle_closed", s.idle_closed.into()),
             ("bytes_in", s.bytes_in.into()),
             ("bytes_out", s.bytes_out.into()),
+            ("write_batches", s.write_batches.into()),
             ("queue_wait_ms_total", (s.queue_wait_us as f64 / 1e3).into()),
             ("handler_ms_total", (s.handle_us as f64 / 1e3).into()),
             ("poison_recoveries", s.poison_recoveries.into()),
@@ -795,24 +846,21 @@ impl AppState {
                 ("text", stream.preamble().into()),
                 ("latency_ms", (stream.latency().as_secs_f64() * 1e3).into()),
             ]);
-            if !w.send(&format!("{head}\n")) {
-                cancel.cancel();
-            }
-            let mut last = t0;
-            let mut first = true;
+            w.queue(&format!("{head}\n"));
+            // Sentences reach the client when their batch is written, so
+            // that is when TTFS and gaps are stamped.
+            let mut stamps = DeliveryStamps::new(t0, Some((&ttfs, &gaps)));
             loop {
+                if stream.will_plan() {
+                    stamps.flushed();
+                    if !w.flush() {
+                        cancel.cancel();
+                    }
+                }
                 if w.client_gone() {
                     cancel.cancel();
                 }
                 let Some(sentence) = stream.next_sentence() else { break };
-                let now = Instant::now();
-                if first {
-                    ttfs.lock().push((now - t0).as_secs_f64() * 1e3);
-                    first = false;
-                } else {
-                    gaps.lock().push((now - last).as_secs_f64() * 1e3);
-                }
-                last = now;
                 let line = Value::obj([
                     ("type", "sentence".into()),
                     ("index", sentence.index.into()),
@@ -821,9 +869,8 @@ impl AppState {
                     ("rows_read", sentence.stats.rows_read.into()),
                     ("elapsed_ms", (sentence.stats.elapsed.as_secs_f64() * 1e3).into()),
                 ]);
-                if !w.send(&format!("{line}\n")) {
-                    cancel.cancel();
-                }
+                w.queue(&format!("{line}\n"));
+                stamps.queued();
             }
             let cancelled = stream.is_cancelled();
             let outcome = stream.finish();
@@ -851,7 +898,9 @@ impl AppState {
                 fields.push(("stale", true.into()));
             }
             let done = Value::obj(fields);
-            w.send(&format!("{done}\n"));
+            // Rides in the same write as the terminal chunk.
+            stamps.flushed();
+            w.queue(&format!("{done}\n"));
         })
     }
 
@@ -1057,12 +1106,15 @@ impl AppState {
                 // different breakdown) warm-starts from cached samples.
                 let scope_warm = scope.is_some() && scope == last_scope && self.semantic.is_some();
                 let t0 = Instant::now();
-                let mut first_sentence_ms: Option<f64> = None;
+                let mut stamps = DeliveryStamps::new(t0, None);
                 let mut voice = InstantVoice::default();
                 let cancel = match self.utterance_deadline {
                     Some(d) => CancelToken::with_deadline(t0 + d),
                     None => CancelToken::new(),
                 };
+                // Events queue until the planner is about to sample
+                // again; a fully planned answer goes out with its `done`
+                // in one write.
                 let outcome = {
                     use voxolap_voice::session::StreamEvent;
                     session.vocalize_streaming(
@@ -1071,7 +1123,7 @@ impl AppState {
                         cancel.clone(),
                         |event| match event {
                             StreamEvent::Preamble(preamble) => {
-                                sink.send_line(
+                                sink.queue_line(
                                     &Value::obj([
                                         ("type", "preamble".into()),
                                         ("text", preamble.into()),
@@ -1080,10 +1132,7 @@ impl AppState {
                                 );
                             }
                             StreamEvent::Sentence(sentence) => {
-                                if first_sentence_ms.is_none() {
-                                    first_sentence_ms = Some(t0.elapsed().as_secs_f64() * 1e3);
-                                }
-                                if !sink.send_line(
+                                sink.queue_line(
                                     &Value::obj([
                                         ("type", "sentence".into()),
                                         ("index", sentence.index.into()),
@@ -1091,7 +1140,12 @@ impl AppState {
                                         ("samples", sentence.stats.samples.into()),
                                     ])
                                     .to_string(),
-                                ) {
+                                );
+                                stamps.queued();
+                            }
+                            StreamEvent::Flush => {
+                                stamps.flushed();
+                                if !sink.flush() {
                                     cancel.cancel();
                                 }
                             }
@@ -1101,14 +1155,16 @@ impl AppState {
                 match outcome {
                     Ok(outcome) => {
                         self.record_latency(&outcome);
-                        let ttfs = first_sentence_ms.unwrap_or(0.0);
-                        self.ttfs_ms.lock().push(ttfs);
                         {
                             let mut sessions = self.sessions.lock();
                             let entry = sessions.entry(id.to_string()).or_default();
                             entry.log.push(text.to_string());
                             entry.last_scope = scope;
                         }
+                        // Sentences still queued go out with `done`.
+                        stamps.flushed();
+                        let ttfs = stamps.ttfs_ms.unwrap_or(0.0);
+                        self.ttfs_ms.lock().push(ttfs);
                         let mut done = vec![
                             ("type", "done".into()),
                             ("sentences", outcome.sentences.len().into()),

@@ -193,37 +193,103 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Incremental body writer handed to [`Response::streaming`] callbacks.
-///
-/// Each [`send`](BodyWriter::send) call becomes one HTTP chunk, flushed
-/// immediately so the client sees every sentence the moment it is
-/// planned. [`client_gone`](BodyWriter::client_gone) lets the producer
-/// poll for a disconnected consumer and abort planning early.
-pub struct BodyWriter<'a> {
+/// Bytes framed for one socket write. The streaming writers queue
+/// events here and hand the whole batch to the kernel in one
+/// `write_all` when the producer is about to pause, so events that are
+/// ready together share a segment instead of each waiting on the ACK of
+/// the one before it.
+struct Batch<'a> {
     stream: &'a mut TcpStream,
+    metrics: &'a HttpMetrics,
+    pending: Vec<u8>,
+    /// Payload bytes in `pending`, counted into `bytes_out` on delivery.
+    pending_payload: u64,
     bytes_out: u64,
     failed: bool,
 }
 
+impl<'a> Batch<'a> {
+    fn new(stream: &'a mut TcpStream, metrics: &'a HttpMetrics) -> Self {
+        Batch {
+            stream,
+            metrics,
+            pending: Vec::new(),
+            pending_payload: 0,
+            bytes_out: 0,
+            failed: false,
+        }
+    }
+
+    /// Append one framed item whose payload is `payload` bytes long.
+    /// Returns `false` once the client is unreachable.
+    fn queue(&mut self, framed: &[&[u8]], payload: usize) -> bool {
+        if self.failed {
+            return false;
+        }
+        for part in framed {
+            self.pending.extend_from_slice(part);
+        }
+        self.pending_payload += payload as u64;
+        true
+    }
+
+    /// Write everything pending in one call. Returns `false` once the
+    /// client is unreachable; later flushes are no-ops.
+    fn flush(&mut self) -> bool {
+        if self.failed {
+            return false;
+        }
+        if self.pending.is_empty() {
+            return true;
+        }
+        // Counted before the write, so a client that has read a batch
+        // always sees it in the counter.
+        HttpMetrics::add(&self.metrics.write_batches, 1);
+        match self.stream.write_all(&self.pending) {
+            Ok(()) => self.bytes_out += self.pending_payload,
+            Err(_) => self.failed = true,
+        }
+        self.pending.clear();
+        self.pending_payload = 0;
+        !self.failed
+    }
+}
+
+/// Incremental body writer handed to [`Response::streaming`] callbacks.
+///
+/// Each [`queue`](BodyWriter::queue) call frames one HTTP chunk;
+/// [`flush`](BodyWriter::flush) writes every queued chunk in one socket
+/// write, so the client sees each batch the moment it is planned.
+/// [`send`](BodyWriter::send) does both. The response header goes out
+/// with the first batch and the terminal chunk with the last.
+/// [`client_gone`](BodyWriter::client_gone) lets the producer poll for a
+/// disconnected consumer and abort planning early.
+pub struct BodyWriter<'a> {
+    batch: Batch<'a>,
+}
+
 impl BodyWriter<'_> {
-    /// Send one chunk (hex-length framed) and flush it to the socket.
-    /// Returns `false` once the client is unreachable; subsequent sends
+    /// Frame one chunk (hex-length prefixed) into the pending batch.
+    /// Returns `false` once the client is unreachable; subsequent calls
     /// are no-ops.
+    pub fn queue(&mut self, chunk: &str) -> bool {
+        if chunk.is_empty() {
+            return !self.batch.failed;
+        }
+        let len = format!("{:x}\r\n", chunk.len());
+        self.batch.queue(&[len.as_bytes(), chunk.as_bytes(), b"\r\n"], chunk.len())
+    }
+
+    /// Write every queued chunk in one socket write. Returns `false` once
+    /// the client is unreachable.
+    pub fn flush(&mut self) -> bool {
+        self.batch.flush()
+    }
+
+    /// Queue one chunk and flush. Returns `false` once the client is
+    /// unreachable; subsequent sends are no-ops.
     pub fn send(&mut self, chunk: &str) -> bool {
-        if self.failed || chunk.is_empty() {
-            return !self.failed;
-        }
-        let framed = format!("{:x}\r\n{chunk}\r\n", chunk.len());
-        match self.stream.write_all(framed.as_bytes()).and_then(|()| self.stream.flush()) {
-            Ok(()) => {
-                self.bytes_out += chunk.len() as u64;
-                true
-            }
-            Err(_) => {
-                self.failed = true;
-                false
-            }
-        }
+        self.queue(chunk) && self.flush()
     }
 
     /// Whether the client has hung up. Clients of a streaming response
@@ -232,8 +298,8 @@ impl BodyWriter<'_> {
     /// listening. The check is a nonblocking 1-byte peek — cheap enough
     /// to poll between sentences.
     pub fn client_gone(&mut self) -> bool {
-        self.failed |= peer_hung_up(self.stream);
-        self.failed
+        self.batch.failed |= peer_hung_up(self.batch.stream);
+        self.batch.failed
     }
 }
 
@@ -256,47 +322,50 @@ fn peer_hung_up(stream: &mut TcpStream) -> bool {
 
 /// Line writer handed to [`SessionCallback`]s on upgraded connections:
 /// raw NDJSON, no chunk framing (the connection left HTTP at the `101`).
+/// Lines queue into one pending batch that [`flush`](SessionSink::flush)
+/// writes in one socket write; [`send_line`](SessionSink::send_line)
+/// queues and flushes.
 pub struct SessionSink<'a> {
-    stream: &'a mut TcpStream,
-    bytes_out: u64,
-    failed: bool,
+    batch: Batch<'a>,
 }
 
 impl SessionSink<'_> {
-    /// Write one event line (a trailing `\n` is appended) and flush.
-    /// Returns `false` once the client is unreachable.
+    /// Queue one event line (a trailing `\n` is appended) without
+    /// writing it. Returns `false` once the client is unreachable.
+    pub fn queue_line(&mut self, line: &str) -> bool {
+        self.batch.queue(&[line.as_bytes(), b"\n"], line.len() + 1)
+    }
+
+    /// Write every queued line in one socket write. Returns `false` once
+    /// the client is unreachable.
+    pub fn flush(&mut self) -> bool {
+        self.batch.flush()
+    }
+
+    /// Queue one event line and flush. Returns `false` once the client is
+    /// unreachable.
     pub fn send_line(&mut self, line: &str) -> bool {
-        if self.failed {
-            return false;
-        }
-        let framed = format!("{line}\n");
-        match self.stream.write_all(framed.as_bytes()).and_then(|()| self.stream.flush()) {
-            Ok(()) => {
-                self.bytes_out += framed.len() as u64;
-                true
-            }
-            Err(_) => {
-                self.failed = true;
-                false
-            }
-        }
+        self.queue_line(line) && self.flush()
     }
 
     /// Whether the peer has closed or reset the connection. Unlike the
     /// HTTP variant, pending readable bytes are expected here (the next
     /// utterance may already have arrived) and do not mean "gone".
     pub fn client_gone(&mut self) -> bool {
-        self.failed |= peer_hung_up(self.stream);
-        self.failed
+        self.batch.failed |= peer_hung_up(self.batch.stream);
+        self.batch.failed
     }
 }
 
-/// Send a chunked streaming response: status line + headers, then each
-/// chunk as the handler produces it, then the terminal zero-length chunk.
-/// Returns the body bytes successfully written and whether the response
-/// completed (terminal chunk delivered) so the connection may be reused.
+/// Send a chunked streaming response: status line + headers with the
+/// handler's first batch, then each batch as the handler flushes it, then
+/// the terminal zero-length chunk in the same write as whatever the
+/// handler left queued. Returns the body bytes successfully written and
+/// whether the response completed (terminal chunk delivered) so the
+/// connection may be reused.
 fn write_streaming(
     stream: &mut TcpStream,
+    metrics: &HttpMetrics,
     status: u16,
     status_text: &str,
     body: StreamBody,
@@ -306,14 +375,12 @@ fn write_streaming(
     let header = format!(
         "HTTP/1.1 {status} {status_text}\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: {conn}\r\n\r\n"
     );
-    if stream.write_all(header.as_bytes()).and_then(|()| stream.flush()).is_err() {
-        return (0, false);
-    }
-    let mut writer = BodyWriter { stream, bytes_out: 0, failed: false };
+    let mut writer = BodyWriter { batch: Batch::new(stream, metrics) };
+    writer.batch.queue(&[header.as_bytes()], 0);
     body(&mut writer);
-    let bytes = writer.bytes_out;
-    let complete = !writer.failed && writer.stream.write_all(b"0\r\n\r\n").is_ok();
-    (bytes, complete)
+    let mut batch = writer.batch;
+    let complete = batch.queue(&[b"0\r\n\r\n"], 0) && batch.flush();
+    (batch.bytes_out, complete)
 }
 
 /// Serialize a plain (non-streaming) response with the given connection
@@ -445,6 +512,9 @@ pub struct HttpMetrics {
     pub bytes_in: AtomicU64,
     /// Response body bytes written.
     pub bytes_out: AtomicU64,
+    /// Socket writes made by the streaming-body and session writers: one
+    /// per flushed batch of chunks or event lines.
+    pub write_batches: AtomicU64,
     /// Total time requests spent queued, in microseconds.
     pub queue_wait_us: AtomicU64,
     /// Total time spent handling + responding, in microseconds.
@@ -476,6 +546,7 @@ pub struct HttpMetricsSnapshot {
     pub idle_closed: u64,
     pub bytes_in: u64,
     pub bytes_out: u64,
+    pub write_batches: u64,
     pub queue_wait_us: u64,
     pub handle_us: u64,
     pub poison_recoveries: u64,
@@ -524,6 +595,7 @@ impl HttpMetrics {
             idle_closed: get(&self.idle_closed),
             bytes_in: get(&self.bytes_in),
             bytes_out: get(&self.bytes_out),
+            write_batches: get(&self.write_batches),
             queue_wait_us: get(&self.queue_wait_us),
             handle_us: get(&self.handle_us),
             poison_recoveries: get(&self.poison_recoveries),
@@ -806,6 +878,10 @@ impl Reactor {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nonblocking(true);
+                    // Writers batch whatever is ready, so a flush should
+                    // reach the wire at once rather than wait for the ACK
+                    // of the previous segment.
+                    let _ = stream.set_nodelay(true);
                     if self.live >= shared.config.max_connections {
                         // No slot capacity: best-effort immediate 503,
                         // never blocking the accept path.
@@ -1410,6 +1486,7 @@ where
         Some(body_fn) => {
             let (bytes, complete) = write_streaming(
                 &mut stream,
+                metrics,
                 response.status,
                 response.status_text(),
                 body_fn,
@@ -1471,7 +1548,7 @@ fn handle_session_line(job: SessionLineJob, shared: &Shared) {
         return;
     }
 
-    let mut sink = SessionSink { stream: &mut stream, bytes_out: 0, failed: false };
+    let mut sink = SessionSink { batch: Batch::new(&mut stream, metrics) };
     let verdict = match catch_unwind(AssertUnwindSafe(|| (ctx.on_line)(&line, &mut sink))) {
         Ok(v) => v,
         Err(_) => {
@@ -1480,8 +1557,9 @@ fn handle_session_line(job: SessionLineJob, shared: &Shared) {
             SessionVerdict::Continue
         }
     };
-    let failed = sink.failed;
-    HttpMetrics::add(&metrics.bytes_out, sink.bytes_out);
+    // Whatever the callback left queued goes out before any farewell.
+    let failed = !sink.flush();
+    HttpMetrics::add(&metrics.bytes_out, sink.batch.bytes_out);
 
     if verdict == SessionVerdict::Continue && !failed {
         if !shared.stopped() {

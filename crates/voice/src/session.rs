@@ -62,6 +62,11 @@ pub enum StreamEvent<'a> {
     Preamble(&'a str),
     /// One committed sentence with its planner statistics.
     Sentence(&'a PlannedSentence),
+    /// The planner is about to sample again: a transport that holds
+    /// events back should deliver them now. Never sent while the rest of
+    /// the answer is already planned, so a fully planned answer arrives
+    /// as one batch.
+    Flush,
 }
 
 /// An interactive voice-OLAP session over one table.
@@ -190,9 +195,11 @@ impl<'a> Session<'a> {
 
     /// Vocalize the current result, delivering the preamble and each
     /// committed sentence to `on_event` as planning progresses instead of
-    /// blocking until the full transcript exists. The `cancel` token stops
-    /// planning early (e.g. when the user interrupts); the returned
-    /// outcome then covers the sentences spoken so far.
+    /// blocking until the full transcript exists. A
+    /// [`StreamEvent::Flush`] marks each point where planning resumes.
+    /// The `cancel` token stops planning early (e.g. when the user
+    /// interrupts); the returned outcome then covers the sentences spoken
+    /// so far.
     pub fn vocalize_streaming(
         &self,
         vocalizer: &dyn Vocalizer,
@@ -203,8 +210,14 @@ impl<'a> Session<'a> {
         let query = self.query()?;
         let mut stream = vocalizer.stream(self.table, &query, voice, cancel);
         on_event(StreamEvent::Preamble(stream.preamble()));
+        if stream.will_plan() {
+            on_event(StreamEvent::Flush);
+        }
         while let Some(sentence) = stream.next_sentence() {
             on_event(StreamEvent::Sentence(&sentence));
+            if stream.will_plan() {
+                on_event(StreamEvent::Flush);
+            }
         }
         Ok(stream.finish())
     }
@@ -383,6 +396,7 @@ mod tests {
             .vocalize_streaming(&holistic, &mut voice, CancelToken::never(), |ev| match ev {
                 StreamEvent::Preamble(p) => preamble = p.to_string(),
                 StreamEvent::Sentence(sent) => streamed.push(sent.text.clone()),
+                StreamEvent::Flush => {}
             })
             .unwrap();
         assert_eq!(preamble, blocking.preamble);
@@ -413,6 +427,52 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1, "no sentence may follow the cancellation");
         assert_eq!(outcome.sentences.len(), 1);
+    }
+
+    /// The event kinds of one streamed answer, in order: `P`reamble,
+    /// `S`entence, `F`lush.
+    fn event_kinds(s: &Session<'_>, vocalizer: &dyn Vocalizer) -> String {
+        let mut voice = InstantVoice::default();
+        let mut kinds = String::new();
+        s.vocalize_streaming(vocalizer, &mut voice, CancelToken::never(), |ev| {
+            kinds.push(match ev {
+                StreamEvent::Preamble(_) => 'P',
+                StreamEvent::Sentence(_) => 'S',
+                StreamEvent::Flush => 'F',
+            })
+        })
+        .unwrap();
+        kinds
+    }
+
+    #[test]
+    fn flush_marks_each_planning_pause_and_exact_hits_never_flush() {
+        use std::sync::Arc;
+        use voxolap_engine::semantic::SemanticCache;
+        // Small enough for the cold run to exhaust the scan and admit
+        // exact results.
+        let t = FlightsConfig { rows: 400, seed: 42 }.generate();
+        let mut s = Session::new(&t);
+        s.input("break down by region").unwrap();
+        let cache = Arc::new(SemanticCache::with_capacity_mb(4));
+        let holistic = Holistic::new(HolisticConfig {
+            min_samples_per_sentence: 200,
+            ..HolisticConfig::default()
+        })
+        .with_cache(cache.clone());
+        // Cold: the preamble goes out before sampling starts, and every
+        // sentence before sampling resumes (the last flush precedes the
+        // call that finds the speech complete).
+        let cold = event_kinds(&s, &holistic);
+        assert!(cold.starts_with("PF"), "{cold}");
+        let sentences = cold.matches('S').count();
+        assert!(sentences >= 1, "{cold}");
+        assert_eq!(cold, format!("PF{}", "SF".repeat(sentences)));
+        // The repeat is an exact hit: fully planned, so nothing flushes.
+        let warm = event_kinds(&s, &holistic);
+        assert_eq!(cache.stats().exact_hits, 1);
+        assert!(warm.len() >= 2, "{warm}");
+        assert_eq!(warm, format!("P{}", "S".repeat(warm.len() - 1)));
     }
 
     #[test]

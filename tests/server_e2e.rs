@@ -418,14 +418,20 @@ fn slowloris_rejects_do_not_delay_healthy_accepts() {
     .unwrap();
     let addr = handle.addr;
 
-    // Saturate: one request in the worker, one in the queue.
+    // Saturate: one request in the worker, one in the queue. The second
+    // occupant is sent only once the worker has dequeued the first
+    // (`requests` counts dequeued requests); sent earlier, both can land
+    // in the one queue slot and the second gets a 503.
     let mut occupants = Vec::new();
-    for _ in 0..2 {
-        occupants.push(std::thread::spawn(move || request(addr, "GET", "/health", "")));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while metrics.snapshot().accepted < occupants.len() as u64 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+    occupants.push(std::thread::spawn(move || request(addr, "GET", "/health", "")));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while metrics.snapshot().requests < 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    occupants.push(std::thread::spawn(move || request(addr, "GET", "/health", "")));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while metrics.snapshot().accepted < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
     }
 
     // A crowd of slowloris clients: send a request, never read the 503.
@@ -549,14 +555,18 @@ fn client_reset_during_rejection_is_counted_not_fatal() {
     .unwrap();
     let addr = handle.addr;
 
-    // Saturate.
+    // Saturate: the second occupant waits until the worker has dequeued
+    // the first, as in the slowloris test above.
     let mut occupants = Vec::new();
-    for _ in 0..2 {
-        occupants.push(std::thread::spawn(move || request(addr, "GET", "/health", "")));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while metrics.snapshot().accepted < occupants.len() as u64 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+    occupants.push(std::thread::spawn(move || request(addr, "GET", "/health", "")));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while metrics.snapshot().requests < 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    occupants.push(std::thread::spawn(move || request(addr, "GET", "/health", "")));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while metrics.snapshot().accepted < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
     }
 
     // Doomed clients: send a request, give the 503 time to land in the

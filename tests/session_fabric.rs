@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use voxolap_data::flights::FlightsConfig;
 use voxolap_json::Value;
-use voxolap_server::{serve_with, AppState, HttpMetrics, ServerConfig};
+use voxolap_server::{serve_with, AppState, HttpMetrics, Request, ServerConfig};
 
 /// Abort the process if a test overruns its deadline (std's harness has
 /// no per-test timeout, and a transport bug shows up as a silent hang).
@@ -165,6 +165,88 @@ fn utterance_streams_speech_and_warm_starts_in_scope_follow_ups() {
     assert_eq!(snap.sessions_opened, 1);
     assert_eq!(snap.sessions_closed, 1);
     assert!(snap.session_lines >= 4, "{snap:?}");
+    handle.shutdown();
+}
+
+/// Events that are ready together share one socket write (DESIGN.md
+/// §15). A cold answer streams: its preamble goes out before sampling
+/// starts and each sentence as it is committed, so it costs between two
+/// writes and one per sentence plus two. The repeat is a semantic-cache
+/// exact hit with nothing left to plan: preamble, every sentence and
+/// `done` leave in exactly one write.
+#[test]
+fn exact_hit_utterance_costs_one_socket_write() {
+    let _guard = watchdog(120);
+    let state = Arc::new(AppState::new(small_table()));
+    let (handle, metrics) = serve_state(ServerConfig::default(), Arc::clone(&state));
+    let writes = || metrics.snapshot().write_batches;
+    let exact_hits = || {
+        let stats = Value::parse(&state.handle(&Request::new("GET", "/stats", &[])).body).unwrap();
+        stats["cache"]["exact_hits"].as_u64().unwrap()
+    };
+
+    let mut conn = SessionConn::attach(handle.addr, "batched");
+    let before = writes();
+    let events = conn.utter("break down by region");
+    let cold = writes() - before;
+    let done = events.last().unwrap();
+    assert_eq!(done["type"], "done", "{events:?}");
+    assert!(done["samples"].as_u64().unwrap() > 0, "first answer must be sampled: {done:?}");
+    let sentences = events.iter().filter(|e| e["type"] == "sentence").count() as u64;
+    assert!(sentences >= 1, "{events:?}");
+    assert!((2..=sentences + 2).contains(&cold), "{cold} writes for {sentences} sentences");
+
+    // The same state again: an exact hit, answered in one write.
+    let hits = exact_hits();
+    let before = writes();
+    let events = conn.utter("break down by region");
+    assert_eq!(writes() - before, 1, "{events:?}");
+    assert_eq!(exact_hits(), hits + 1);
+    assert_eq!(events.first().unwrap()["type"], "preamble", "{events:?}");
+    assert!(events.iter().filter(|e| e["type"] == "sentence").count() >= 1, "{events:?}");
+    assert_eq!(events.last().unwrap()["type"], "done", "{events:?}");
+
+    conn.send("{\"type\":\"bye\"}");
+    assert_eq!(conn.next_event()["type"], "bye");
+    handle.shutdown();
+}
+
+/// The same batching on `POST /query/stream`: an exact hit sends the
+/// response header, every chunk and the terminal chunk in one write, so
+/// a keep-alive client can ask again without waiting on a delayed ACK.
+#[test]
+fn exact_hit_query_stream_costs_one_socket_write() {
+    let _guard = watchdog(120);
+    let state = Arc::new(AppState::new(small_table()));
+    let (handle, metrics) = serve_state(ServerConfig::default(), Arc::clone(&state));
+    let body = "{\"question\": \"cancellation probability by region\"}";
+    // `/ask` plans the question once; its exhausted scan admits the
+    // exact result.
+    let ask = state.handle(&Request::new("POST", "/ask", body.as_bytes()));
+    assert_eq!(ask.status, 200, "{}", ask.body);
+
+    let exact_hits = || {
+        let stats = Value::parse(&state.handle(&Request::new("GET", "/stats", &[])).body).unwrap();
+        stats["cache"]["exact_hits"].as_u64().unwrap()
+    };
+    let hits = exact_hits();
+    let before = metrics.snapshot().write_batches;
+    let mut s = TcpStream::connect(handle.addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    write!(
+        s,
+        "POST /query/stream HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut out = String::new();
+    s.read_to_string(&mut out).unwrap();
+    assert!(out.starts_with("HTTP/1.1 200"), "{out}");
+    assert!(out.contains("\"type\":\"sentence\""), "{out}");
+    assert!(out.contains("\"type\":\"done\""), "{out}");
+    assert!(out.ends_with("0\r\n\r\n"), "terminal chunk missing: {out:?}");
+    assert_eq!(metrics.snapshot().write_batches - before, 1, "{out}");
+    assert_eq!(exact_hits(), hits + 1, "the stream must be an exact hit");
     handle.shutdown();
 }
 
